@@ -2,8 +2,8 @@
 
 CI boxes differ wildly in absolute speed, so the regression guard is a
 *ratio*: how long the batched codec takes relative to the reference
-per-field codec on the same fixed-seed workload, measured in the same
-process.  The reference codec acts as the machine-speed normalizer --
+per-field codec (the test oracle ``tests/oracles/reference_codec.py``)
+on the same fixed-seed workload, measured in the same process.  The reference codec acts as the machine-speed normalizer --
 if the batched decoder regresses (someone un-batches a loop, adds a
 per-instruction allocation), the ratio moves even though every
 absolute number shifted with the hardware.
@@ -36,14 +36,13 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import save_json, save_result
 
 from repro.frontend import compile_sources
-from repro.naim.compaction import (
-    compact_routine,
-    compact_routine_reference,
-    uncompact_routine,
-    uncompact_routine_reference,
-)
+from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.intern import InternPool
 from repro.synth import WorkloadConfig, generate
+from tests.oracles.reference_codec import (
+    compact_routine_reference,
+    uncompact_routine_reference,
+)
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),

@@ -17,14 +17,13 @@ from repro.hlo.driver import standard_pipeline
 from repro.hlo.passes import OptContext
 from repro.interp import run_program
 from repro.naim import Loader, NaimConfig, NaimLevel, Repository
-from repro.naim.compaction import (
-    compact_routine,
-    compact_routine_reference,
-    uncompact_routine,
-    uncompact_routine_reference,
-)
+from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.intern import InternPool
 from repro.synth import WorkloadConfig, generate
+from tests.oracles.reference_codec import (
+    compact_routine_reference,
+    uncompact_routine_reference,
+)
 
 
 @pytest.fixture(scope="module")

@@ -37,16 +37,15 @@ from repro.driver.options import CompilerOptions
 from repro.frontend import compile_source, detect_language
 from repro.ir.symbols import ProgramSymbolTable
 from repro.linker.objects import encode_executable
-from repro.naim.compaction import (
-    compact_routine,
-    compact_routine_reference,
-    uncompact_routine,
-    uncompact_routine_reference,
-)
+from repro.naim.compaction import compact_routine, uncompact_routine
 from repro.naim.config import NaimConfig, NaimLevel
 from repro.naim.intern import InternPool
 from repro.synth.config import spec_like_suite
 from repro.synth.generator import generate
+from tests.oracles.reference_codec import (
+    compact_routine_reference,
+    uncompact_routine_reference,
+)
 
 #: Full-mode acceptance bars (ISSUE 5): pack must at least halve the
 #: bytes hitting disk and cut >= 30% of the offload build's wall time.
@@ -96,7 +95,6 @@ def _run_build(app, profile_db, cache_pools, layout, prefetch_depth,
                 if key.startswith("wpa")
             ),
             "scalar_seconds": phase_seconds.get("scalar", 0.0),
-            "wpa_mode": build.hlo_result.wpa_mode,
             "wpa_peak_bytes": build.hlo_result.wpa_peak_bytes,
             "coordinator_peak_bytes": build.hlo_result.peak_bytes,
             "image": encode_executable(build.executable),

@@ -1,13 +1,14 @@
 """Thin-link WPA: summary-only vs materializing whole-program phase.
 
 Builds the same synthetic program at +O4 across a >=4x range of scale
-factors, once per ``--wpa-mode``:
+factors, once per WPA driver:
 
-* ``materialize`` -- the classic WPA: every routine body is expanded
+* ``materialize`` -- the classic WPA, kept as the test oracle
+  ``tests/oracles/materialize_wpa.py``: every routine body is expanded
   on the coordinator before any cross-module decision;
-* ``summary`` -- the thin link: phases 0-4.5 read only the enriched
-  ``RoutineFacts`` graph, record their decisions in a replay plan, and
-  bodies load lazily (per partition) at phase 5.
+* ``summary`` -- the production thin link: phases 0-4.5 read only the
+  enriched ``RoutineFacts`` graph, record their decisions in a replay
+  plan, and bodies load lazily (per partition) at phase 5.
 
 For every scale the two images are byte-compared -- the thin link is
 an optimization of *when* bodies load, never of *what* is decided --
@@ -50,6 +51,7 @@ from repro.driver.options import CompilerOptions
 from repro.linker.objects import encode_executable
 from repro.naim.config import NaimConfig, NaimLevel
 from repro.synth import WorkloadConfig, generate
+from tests.oracles.materialize_wpa import materializing_wpa
 
 BASELINE_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
@@ -68,14 +70,13 @@ SCALES = (7, 14, 28)
 SCALES_QUICK = (4, 8, 16)
 
 
-def _build(sources, wpa_mode):
+def _build(sources):
     # OFFLOAD-pinned NAIM so the accountant models the real residency
     # discipline at scale (bodies round-trip through the repository);
-    # without pressure both modes would simply keep every parsed body
+    # without pressure both drivers would simply keep every parsed body
     # expanded and the peak would measure the front end, not WPA.
     options = CompilerOptions(
         opt_level=4,
-        wpa_mode=wpa_mode,
         naim=NaimConfig.pinned(NaimLevel.OFFLOAD, cache_pools=4),
     )
     start = time.perf_counter()
@@ -109,8 +110,9 @@ def run_bench(quick=False):
                            dispatch_count=120, seed=41,
                            scale_note="thin-WPA bench")
         )
-        materialize = _build(app.sources, "materialize")
-        summary = _build(app.sources, "summary")
+        with materializing_wpa():
+            materialize = _build(app.sources)
+        summary = _build(app.sources)
         if materialize["image"] != summary["image"]:
             byte_identical = False
         point = {

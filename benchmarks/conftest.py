@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -9,6 +10,11 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: and tooling expect ``BENCH_*.json`` (the results/ subdirectory is
 #: only for rendered tables and is not scanned).
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Benchmarks time production paths against the reference
+# implementations kept as test oracles (``tests/oracles/``).
+if REPO_ROOT not in sys.path:
+    sys.path.append(REPO_ROOT)
 
 
 def save_result(name: str, text: str) -> None:

@@ -149,15 +149,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "Output is byte-identical either way.",
     )
     parser.add_argument(
-        "--wpa-mode", choices=("auto", "materialize", "summary"),
-        default="auto", metavar="MODE",
-        help="whole-program analysis strategy at +O4: summary runs "
-             "the thin link (cross-module decisions from routine "
-             "summaries alone; bodies load lazily per partition), "
-             "materialize loads every body up front. Output is "
-             "byte-identical either way; auto (default) = summary.",
-    )
-    parser.add_argument(
         "--repo-compress", type=int, default=6, choices=range(0, 10),
         metavar="LEVEL",
         help="zlib level for NAIM pack-repository entries "
@@ -252,10 +243,14 @@ def cmd_build(args: argparse.Namespace) -> int:
             print("farm: %s" % exc, file=sys.stderr)
             return 1
 
-    if args.daemon and not args.trace_out:
+    if args.daemon and args.trace_out:
+        # The daemon keeps its trace server-side, so a trace request
+        # builds in-process; say so rather than drop --daemon silently.
+        print("--daemon ignored: --trace-out builds in-process (the "
+              "daemon's trace stays server-side)", file=sys.stderr)
+    elif args.daemon:
         # Transparent daemon path: only taken when a daemon answers;
         # anything else falls through to the in-process build below.
-        # (--trace-out stays in-process: the trace lives server-side.)
         from ..serve.client import DaemonClient, DaemonError
 
         client = DaemonClient.from_env()
@@ -285,7 +280,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         hlo_jobs=args.hlo_jobs,
         hlo_partitions=args.partitions,
         hlo_backend=args.hlo_backend,
-        wpa_mode=args.wpa_mode,
         naim=_naim_config_from_args(args),
     )
     session = CompileSession(options, jobs=args.jobs,

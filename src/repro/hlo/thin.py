@@ -1,17 +1,17 @@
 """Summary-only whole-program analysis (the thin link).
 
-Under ``--wpa-mode summary`` the driver's phases 0-4.5 never touch an
-expanded routine body: every cross-module decision -- dead-function
-elimination, IPCP seeds, cloning candidates, the inline plan -- is
-computed from the enriched :class:`~repro.incr.summary.RoutineFacts`
-graph, and the body mutations those decisions imply are recorded in a
-:class:`WpaPlan`.  The plan is *replayed* against real bodies at the
-start of phase 5 (serially, or inside each partition worker), which is
-what keeps summary-mode images byte-identical to materializing WPA:
-the decisions are provably the same (each simulation mirrors its
-transform's exact acceptance tests and size arithmetic), and the
-replay runs the very same mutation code (``apply_param_constants``,
-``make_clone``, ``splice_call``) the materializing driver runs.
+The driver's phases 0-4.5 never touch an expanded routine body: every
+cross-module decision -- dead-function elimination, IPCP seeds,
+cloning candidates, the inline plan -- is computed from the enriched
+:class:`~repro.incr.summary.RoutineFacts` graph, and the body
+mutations those decisions imply are recorded in a :class:`WpaPlan`.
+The plan is *replayed* against real bodies at the start of phase 5
+(serially, or inside each partition worker).  Images are
+byte-identical to a WPA that walks and mutates expanded bodies (the
+test oracle ``tests/oracles/materialize_wpa.py``): the decisions are
+the same (each simulation mirrors its transform's exact acceptance
+tests and size arithmetic), and the replay inserts the same entry
+CONSTs and runs the same ``make_clone`` and ``splice_call``.
 
 The payoff is the paper's Figure 4 claim pushed to its limit: WPA time
 and peak modeled memory scale with the summary graph, so the
@@ -563,20 +563,21 @@ def compute_thin_module_keys(
     options_fp: str,
     summary_format: int,
 ):
-    """Per-module reuse keys equivalent to ``compute_module_keys``
-    without post-inline bodies.
+    """Exact per-module reuse keys without post-inline bodies.
 
     Each routine gets an *evolution hash* E(r) covering everything that
     determines its post-replay body and profile view: the original body
     hash (or, for clones, the origin's evolution plus the creation
     point and bindings), IPCP bindings, retargets, ordered splices with
-    the callee's own E, and the initial view.  Keys are prefixed
-    ``thin|`` so they can never collide with materializing-mode keys --
-    switching ``--wpa-mode`` re-optimizes rather than risking a stale
-    splice.  Returns ``(keys, consumed)`` like the materializing
-    helper, with consumed callee/global sets computed by residual
-    closure over the plan (spliced bodies contribute their own residual
-    calls and globals).
+    the callee's own E, and the initial view; the module key also
+    hashes the interprocedural fact slice its routines consume (callee
+    mod/ref and constant returns, readonly globals and their
+    initializers).  Keys carry a ``thin|`` prefix so they never match
+    a key hashed from post-inline bodies (the test oracle's
+    ``compute_module_keys``).  Returns ``(keys, consumed)``, with
+    consumed callee/global sets computed by residual closure over the
+    plan (spliced bodies contribute their own residual calls and
+    globals).
     """
     from ..incr.summary import ConsumedFacts
 

@@ -8,19 +8,17 @@ to the clone.  Follow-up constant propagation then specializes the
 clone's body.
 
 Clones are named ``<callee>::cl<N>``; they are module-static to the
-callee's defining module.
+callee's defining module.  Planning runs over routine summaries
+(:func:`repro.hlo.thin.thin_plan_clones`); this module holds the
+decision record and the body copy that the plan replay makes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from ...ir.instructions import Instr, Opcode
-from ...ir.module import Module
-from ...ir.program import ENTRY_NAME, Program
 from ...ir.routine import Routine
-from ..passes import OptContext
-from .ipcp import _const_def_in_block
 
 
 class CloneDecision:
@@ -51,67 +49,6 @@ class CloneDecision:
         )
 
 
-def _site_constant_bindings(
-    caller: Routine, block_label: str, index: int
-) -> Tuple[Tuple[int, int], ...]:
-    """Constant (param, value) pairs a specific call site passes."""
-    call = caller.block(block_label).instrs[index]
-    bindings = []
-    for param_index, arg_reg in enumerate(call.args):
-        value = _const_def_in_block(caller, block_label, index, arg_reg)
-        if value is not None:
-            bindings.append((param_index, value))
-    return tuple(bindings)
-
-
-def plan_clones(
-    ctx: OptContext,
-    callers: Iterable[Routine],
-    resolve: Callable[[str], Optional[Routine]],
-) -> List[CloneDecision]:
-    """Group call sites by (callee, constant signature) worth cloning."""
-    options = ctx.options
-    if not options.clone_enabled:
-        return []
-    groups: Dict[Tuple[str, Tuple[Tuple[int, int], ...]], CloneDecision] = {}
-    total_sites: Dict[str, int] = {}
-    for caller in callers:
-        view = ctx.views.get(caller.name)
-        for block_label, index, callee_name in caller.call_sites():
-            if callee_name == caller.name or callee_name == ENTRY_NAME:
-                continue
-            total_sites[callee_name] = total_sites.get(callee_name, 0) + 1
-            callee = resolve(callee_name)
-            if callee is None or callee.n_params == 0:
-                continue
-            if callee.instr_count() > options.clone_callee_max_instrs:
-                continue
-            bindings = _site_constant_bindings(caller, block_label, index)
-            if len(bindings) < options.clone_min_const_args:
-                continue
-            key = (callee_name, bindings)
-            weight = view.count(block_label) if view is not None else 0
-            decision = groups.get(key)
-            if decision is None:
-                decision = CloneDecision(callee_name, bindings, [], 0)
-                groups[key] = decision
-            decision.sites.append((caller.name, block_label, index))
-            decision.weight += weight
-    # Cloning pays off only when call sites *disagree*: if one signature
-    # covers every observed site of a callee, interprocedural constant
-    # propagation already binds those parameters in place.
-    worthwhile = [
-        decision
-        for decision in groups.values()
-        if len(decision.sites) < total_sites.get(decision.callee, 0)
-    ]
-    # Deterministic order: heaviest first, then name/signature.
-    return sorted(
-        worthwhile,
-        key=lambda d: (-d.weight, d.callee, d.bindings),
-    )
-
-
 def make_clone(callee: Routine, bindings, clone_name: str) -> Routine:
     """Specialized copy of ``callee`` with constants bound at entry."""
     clone = callee.copy(new_name=clone_name)
@@ -124,56 +61,3 @@ def make_clone(callee: Routine, bindings, clone_name: str) -> Routine:
         )
     clone.invalidate()
     return clone
-
-
-def apply_clones(
-    ctx: OptContext,
-    program: Program,
-    decisions: List[CloneDecision],
-    resolve: Callable[[str], Optional[Routine]],
-    max_clones: int = 64,
-) -> List[Routine]:
-    """Create clone routines and retarget their call sites.
-
-    Returns the new routines (already added to their modules; the
-    caller must re-register pools / rebuild the call graph).
-    """
-    created: List[Routine] = []
-    serial = 0
-    for decision in decisions:
-        if len(created) >= max_clones:
-            break
-        callee = resolve(decision.callee)
-        if callee is None:
-            continue
-        module: Optional[Module] = program.modules.get(callee.module_name)
-        if module is None:
-            continue
-        clone_name = "%s::cl%d" % (decision.callee, serial)
-        serial += 1
-        clone = make_clone(callee, decision.bindings, clone_name)
-        module.add_routine(clone)
-        created.append(clone)
-        ctx.stats.bump("clone")
-        # Clone inherits the callee's profile shape.
-        callee_view = ctx.views.get(decision.callee)
-        if callee_view is not None:
-            from ..profile_view import ProfileView
-
-            ctx.views[clone_name] = ProfileView(
-                clone_name,
-                block_counts=callee_view.block_counts,
-                edge_counts=callee_view.edge_counts,
-                is_static_estimate=callee_view.is_static_estimate,
-            )
-        for caller_name, block_label, index in decision.sites:
-            caller = resolve(caller_name)
-            if caller is None:
-                continue
-            call = caller.block(block_label).instrs[index]
-            if call.op is Opcode.CALL and call.sym == decision.callee:
-                call.sym = clone_name
-                caller.invalidate()
-    if created:
-        program.invalidate()
-    return created

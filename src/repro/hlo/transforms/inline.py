@@ -241,7 +241,7 @@ class InlineCandidate:
 
 
 class InlineEngine:
-    """Plans and performs inlining over a set of routines."""
+    """Plans inlining over a set of routines; subclasses execute it."""
 
     def __init__(
         self,
@@ -400,69 +400,14 @@ class InlineEngine:
         plan: List[InlineCandidate],
         program_budget: int,
     ) -> None:
-        """Splice candidates in plan order (module-pair grouped).
+        """Perform one caller's planned inlines (subclass hook).
 
-        Only *original* caller blocks and continuation blocks are
-        scanned for sites, never cloned callee bodies -- each planned
-        candidate corresponds to one pre-existing call site.
+        The production executor is
+        :class:`repro.hlo.thin.ThinInlineEngine`, which advances summary
+        sizes and records each splice for replay; the test oracle
+        ``tests/oracles/materialize_wpa.py`` splices bodies.
         """
-        options = self.ctx.options
-        caller_view = self.ctx.view_for(caller)
-        caller_limit = max(
-            options.inline_caller_max_instrs,
-            int(self._size_of(caller.name) * options.inline_routine_growth_factor),
-        )
-        scannable = {block.label for block in caller.blocks}
-
-        for cand in plan:
-            if (
-                options.inline_operation_limit is not None
-                and self.stats.performed >= options.inline_operation_limit
-            ):
-                self.stats.hit_operation_limit = True
-                return
-            callee = self.resolve(cand.callee)
-            if callee is None:
-                continue
-            callee_size = callee.instr_count()
-            if (
-                caller.instr_count() + callee_size > caller_limit
-                or self._program_size + callee_size > program_budget
-            ):
-                self.stats.rejected_growth += 1
-                continue
-            site = self._find_site(caller, cand.callee, scannable)
-            if site is None:
-                continue  # an earlier transform removed the call
-            block_label, instr_index = site
-            call = caller.block(block_label).instrs[instr_index]
-            if len(call.args) != callee.n_params:
-                # Mismatched interface (paper section 6.3): leave the call
-                # for the runtime checker rather than splice garbage.
-                continue
-            callee_view = self.ctx.views.get(callee.name)
-            cont_label = splice_call(
-                caller,
-                block_label,
-                instr_index,
-                callee,
-                caller_view=caller_view,
-                callee_view=callee_view,
-                site_weight=cand.weight,
-            )
-            scannable.add(cont_label)
-            if (
-                options.inject_inline_bug_after is not None
-                and self.stats.performed + 1
-                == options.inject_inline_bug_after
-            ):
-                _inject_bug(caller, cont_label)
-            self.stats.record(
-                caller.module_name, callee.module_name,
-                caller=caller.name, callee=callee.name,
-            )
-            self._set_size(caller.name, caller.instr_count())
-        self._set_size(caller.name, caller.instr_count())
+        raise NotImplementedError
 
     @staticmethod
     def _find_site(

@@ -1,4 +1,4 @@
-"""Interprocedural constant propagation (closed-world, link-time).
+"""Interprocedural constant propagation: shared lattice primitives.
 
 Three whole-program facts are computed and published into the
 :class:`OptContext` for the scalar passes to exploit:
@@ -13,16 +13,19 @@ Three whole-program facts are computed and published into the
   calls it);
 * **constant returns**: routines that provably return one literal value
   are recorded so callers can fold calls to pure ones.
+
+The pass itself runs over routine summaries
+(:func:`repro.hlo.thin.thin_publish_interprocedural_facts`); this
+module holds the constness rule both it and the summary extractor
+share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Optional
 
-from ...ir.instructions import Instr, Opcode
-from ...ir.program import ENTRY_NAME
+from ...ir.instructions import Opcode
 from ...ir.routine import Routine
-from ..passes import OptContext
 
 #: Lattice marker for "conflicting values observed".
 _CONFLICT = object()
@@ -36,152 +39,3 @@ def _const_def_in_block(routine: Routine, block_label: str, upto: int,
         if instr.dst == reg:
             value = instr.imm if instr.op is Opcode.CONST else None
     return value
-
-
-def gather_param_constants(
-    routines: Iterable[Routine],
-    resolve: Callable[[str], Optional[Routine]],
-) -> Dict[str, List[Optional[int]]]:
-    """Map routine name -> per-parameter constant (None = not constant).
-
-    A parameter is constant when *every* call site passes the same
-    literal (a CONST definition visible in the site's own block).
-    """
-    facts: Dict[str, list] = {}
-    for caller in routines:
-        for block_label, index, callee_name in caller.call_sites():
-            callee = resolve(callee_name)
-            if callee is None:
-                continue
-            call = caller.block(block_label).instrs[index]
-            slots = facts.setdefault(callee_name, [None] * callee.n_params)
-            for param_index, arg_reg in enumerate(call.args):
-                if param_index >= len(slots):
-                    continue
-                observed = _const_def_in_block(
-                    caller, block_label, index, arg_reg
-                )
-                current = slots[param_index]
-                if observed is None:
-                    slots[param_index] = _CONFLICT
-                elif current is None:
-                    slots[param_index] = observed
-                elif current is not _CONFLICT and current != observed:
-                    slots[param_index] = _CONFLICT
-    return {
-        name: [v if isinstance(v, int) else None for v in slots]
-        for name, slots in facts.items()
-    }
-
-
-def apply_param_constants(
-    routine: Routine, constants: List[Optional[int]]
-) -> int:
-    """Materialize known-constant parameters at the routine entry."""
-    bindings = [
-        (index, value)
-        for index, value in enumerate(constants[: routine.n_params])
-        if value is not None
-    ]
-    if not bindings:
-        return 0
-    entry = routine.entry
-    for offset, (param_index, value) in enumerate(bindings):
-        entry.instrs.insert(
-            offset, Instr(Opcode.CONST, dst=param_index, imm=value)
-        )
-    routine.invalidate()
-    return len(bindings)
-
-
-def constant_return_value(routine: Routine) -> Optional[int]:
-    """The single literal this routine always returns, if provable.
-
-    Conservative: each RET must return a register set by an in-block
-    CONST (or return nothing, which is the literal 0).
-    """
-    result: Optional[int] = None
-    found_any = False
-    for block in routine.blocks:
-        term = block.terminator
-        if term is None or term.op is not Opcode.RET:
-            continue
-        found_any = True
-        if term.a is None:
-            value: Optional[int] = 0
-        else:
-            value = _const_def_in_block(
-                routine, block.label, len(block.instrs) - 1, term.a
-            )
-        if value is None:
-            return None
-        if result is None:
-            result = value
-        elif result != value:
-            return None
-    return result if found_any else None
-
-
-def publish_interprocedural_facts(
-    ctx: OptContext,
-    routine_names: List[str],
-    resolve: Callable[[str], Optional[Routine]],
-    all_global_names: Iterable[str],
-    externally_callable: "frozenset[str]" = frozenset(),
-    externally_visible_globals: "frozenset[str]" = frozenset(),
-    fact_log: Optional[Dict[str, List[Optional[int]]]] = None,
-) -> Dict[str, int]:
-    """Fill ctx.readonly_globals / ctx.const_returns; bind const params.
-
-    ``resolve`` is called one routine at a time so the NAIM loader can
-    keep memory bounded.  Under *coarse selectivity* not every module is
-    in the CMO set, so facts that depend on seeing every caller/writer
-    are suppressed for ``externally_callable`` routines and
-    ``externally_visible_globals`` symbols (referenced by non-CMO
-    objects).  Returns {routine_name: n params bound}.
-
-    ``fact_log`` (a dict) receives routine -> the per-parameter
-    constants materialized into it -- the lattice facts the routine's
-    module consumed from its callers, recorded for the incremental
-    engine's dependency edges.
-    """
-    bound: Dict[str, int] = {}
-    if not ctx.options.ipcp_enabled:
-        return bound
-
-    if ctx.options.readonly_global_promotion and ctx.modref is not None:
-        ctx.readonly_globals = (
-            ctx.modref.never_written_globals(all_global_names)
-            - set(externally_visible_globals)
-        )
-
-    def routines():
-        for name in routine_names:
-            routine = resolve(name)
-            if routine is not None:
-                yield routine
-
-    param_facts = gather_param_constants(routines(), resolve)
-    for name in routine_names:
-        if name == ENTRY_NAME or name in externally_callable:
-            continue
-        constants = param_facts.get(name)
-        if constants:
-            routine = resolve(name)
-            if routine is None:
-                continue
-            count = apply_param_constants(routine, constants)
-            if count:
-                bound[name] = count
-                ctx.stats.bump("ipcp_params", count)
-                if fact_log is not None:
-                    fact_log[name] = list(constants)
-
-    for name in routine_names:
-        routine = resolve(name)
-        if routine is None:
-            continue
-        value = constant_return_value(routine)
-        if value is not None:
-            ctx.const_returns[name] = value
-    return bound

@@ -4,7 +4,7 @@ The paper's +O4 pipeline re-optimizes the whole program on every
 link; this package adds the WHOPR-style incremental layer on top:
 
 * :mod:`summary` -- per-module content fingerprints (source-level
-  summaries, and exact post-inline reuse keys);
+  summaries) and the routine facts the thin WPA decides from;
 * :mod:`depgraph` -- the recorded cross-module dependency edge set
   (what each module actually consumed from other modules' summaries);
 * :mod:`state` -- persistence of summaries, edges, keys, and cached
@@ -24,7 +24,6 @@ from .depgraph import CrossModuleDeps, DepEdge
 from .state import IncrementalState, IncrLinkReport, IncrLinkSession
 from .summary import (
     ModuleSummary,
-    compute_module_keys,
     options_fingerprint,
     routine_body_hash,
     view_fingerprint,
@@ -37,7 +36,6 @@ __all__ = [
     "IncrLinkReport",
     "IncrLinkSession",
     "ModuleSummary",
-    "compute_module_keys",
     "options_fingerprint",
     "routine_body_hash",
     "view_fingerprint",

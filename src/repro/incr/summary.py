@@ -9,13 +9,13 @@ Two layers of fingerprinting drive the incremental engine:
   *changed* module set, which the dependency graph turns into a
   cheap prediction of what will need re-optimization.
 
-* **Reuse keys** (:func:`compute_module_keys`) are exact per-module
-  fingerprints taken *after* the whole-program phases (DFE, IPCP,
-  cloning, inlining) but before the scalar pipeline and code
-  generation.  The key covers everything those two expensive phases
-  can observe about a module -- post-inline routine bodies, profile
-  views, selectivity membership, and the interprocedural fact slice
-  (callee mod/ref + constant returns, readonly globals and their
+* **Reuse keys** (:func:`repro.hlo.thin.compute_thin_module_keys`)
+  are exact per-module fingerprints taken *after* the whole-program
+  phases (DFE, IPCP, cloning, inlining) but before the scalar pipeline
+  and code generation.  The key covers everything those two expensive
+  phases can observe about a module -- post-replay routine bodies,
+  profile views, selectivity membership, and the interprocedural fact
+  slice (callee mod/ref + constant returns, readonly globals and their
   initializers).  Equal key therefore implies byte-identical machine
   code, so cached codegen output can be spliced in unchanged.  This
   is the WHOPR-style split: the cheap "thin link" analysis re-runs
@@ -203,93 +203,11 @@ class ConsumedFacts:
         self.globals: Set[str] = set()
 
 
-def compute_module_keys(
-    unit,
-    ctx,
-    selected: Set[str],
-    clones: Set[str],
-    options_fp: str,
-) -> Tuple[Dict[str, str], Dict[str, ConsumedFacts]]:
-    """Exact per-module reuse keys over post-inline program state.
-
-    ``unit`` is the HLO :class:`~repro.hlo.driver.CmoUnit` after the
-    inlining phase; ``ctx`` the :class:`~repro.hlo.passes.OptContext`
-    carrying the published interprocedural facts.  Returns
-    ``(keys, consumed)``: the reuse key and the consumed-fact record
-    for every module in the unit.
-
-    Soundness: the scalar pipeline and LLO consume, per routine, the
-    routine body, its profile view, ``ctx.modref`` / ``ctx.const_returns``
-    facts about its callees, and ``ctx.readonly_globals`` plus global
-    initializers for its referenced globals.  All of those are hashed
-    here, so key equality implies the downstream phases would produce
-    identical output.
-    """
-    routines_of: Dict[str, List[str]] = {}
-    for name in unit.routine_names():
-        routines_of.setdefault(unit.routine_module[name], []).append(name)
-
-    keys: Dict[str, str] = {}
-    consumed: Dict[str, ConsumedFacts] = {}
-    in_unit = set(unit.routine_names())
-
-    for module_name, names in routines_of.items():
-        digest = hashlib.sha256()
-        digest.update(("v%d|" % SUMMARY_FORMAT).encode("utf-8"))
-        digest.update(options_fp.encode("utf-8"))
-        digest.update(("|%s|" % module_name).encode("utf-8"))
-        facts = ConsumedFacts(module_name)
-
-        for name in names:
-            routine = unit.routine(name)
-            if routine is None:
-                digest.update(("!%s;" % name).encode("utf-8"))
-                continue
-            optimized = name in selected or name in clones
-            digest.update(
-                ("r:%s/%d=%s+%s;" % (
-                    name, int(optimized), routine_body_hash(routine),
-                    view_fingerprint(ctx.views.get(name)),
-                )).encode("utf-8")
-            )
-            facts.callees.update(routine.callees())
-            facts.globals.update(routine.referenced_globals())
-            unit.unload(name)
-
-        # The interprocedural fact slice this module's passes can read.
-        for callee in sorted(facts.callees):
-            modref = (
-                modref_fingerprint(ctx.modref.for_routine(callee))
-                if ctx.modref is not None else "-"
-            )
-            digest.update(
-                ("c:%s/%s/%r/%d;" % (
-                    callee, modref, ctx.const_returns.get(callee),
-                    int(callee in in_unit),
-                )).encode("utf-8")
-            )
-        for global_name in sorted(facts.globals):
-            readonly = global_name in ctx.readonly_globals
-            if ctx.symtab.has_global(global_name):
-                var = ctx.symtab.lookup_global(global_name)
-                shape = "%d/%r" % (var.size, var.init)
-            else:
-                shape = "extern"
-            digest.update(
-                ("g:%s/%d/%s;" % (global_name, int(readonly), shape))
-                .encode("utf-8")
-            )
-
-        keys[module_name] = digest.hexdigest()
-        consumed[module_name] = facts
-    return keys, consumed
-
-
 # -- Enriched per-routine facts (summary-only WPA) ------------------------------
 #
-# The thin whole-program phase (``--wpa-mode summary``) runs every
-# cross-module decision -- IPCP seeds, cloning, the inline plan, DFE --
-# against these facts instead of expanded routine bodies.  The facts
+# The thin whole-program phase runs every cross-module decision --
+# IPCP seeds, cloning, the inline plan, DFE -- against these facts
+# instead of expanded routine bodies.  The facts
 # therefore record exactly what those passes can observe: sizes, call
 # edges with per-argument constness, return constness, direct mod/ref,
 # and the initial profile view.  Argument/return constness mirrors

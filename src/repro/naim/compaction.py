@@ -20,22 +20,20 @@ only objects reachable from the routine root survive the round trip.
 The encoding uses LEB128 varints with zigzag for signed values; compact
 sizes reported to the memory accountant are the real encoded lengths.
 
-Two codec implementations share the one wire format:
+The codec here is *batched*: ``compact_routine`` / ``uncompact_routine``
+collect a whole routine's field values and emit/consume them in bulk
+runs, with an opcode-shape dispatch table instead of a per-opcode
+if-chain.  Roughly 95% of encoded values fit in one byte, so the
+encoder flushes maximal ``0..127`` runs through ``bytes()`` in C
+(measured faster than an equivalent ``struct.Struct("<NB")`` pack
+because no format object needs sizing per run) and the decoder
+inlines the one-byte fast path.  :class:`Writer`/:class:`Reader` are
+the one-varint-per-call primitives (the object-file format in
+:mod:`repro.linker.objects` uses them too).
 
-* the **reference codec** (:class:`Writer`/:class:`Reader` plus the
-  ``*_reference`` entry points) emits one varint per call and reads
-  like a format specification;
-* the **batched codec** (the default ``compact_routine`` /
-  ``uncompact_routine``) collects a whole routine's field values and
-  emits/consumes them in bulk runs, with an opcode-shape dispatch
-  table instead of the per-opcode if-chain.  It exists purely for
-  speed: roughly 95% of encoded values fit in one byte, so the
-  encoder flushes maximal ``0..127`` runs through ``bytes()`` in C
-  (measured faster than an equivalent ``struct.Struct("<NB")`` pack
-  because no format object needs sizing per run) and the decoder
-  inlines the one-byte fast path.
-
-The two must be byte-identical on every input; the dual-codec property
+The readable specification of the format is the per-field *reference
+codec*, a test oracle in ``tests/oracles/reference_codec.py``.  The
+two must be byte-identical on every input; the dual-codec property
 test (``tests/property/test_prop_codec.py``) and the ``perf-smoke`` CI
 job enforce that.  ``uncompact_routine`` additionally supports *lazy
 materialization* (``lazy=True``): block bodies and annotations are
@@ -389,212 +387,7 @@ def _uv_cont(buf: bytes, pos: int, first: int):
         shift += 7
 
 
-# -- Reference per-instruction codec ------------------------------------------
-
-
-def _encode_instr(
-    writer: Writer,
-    instr: Instr,
-    label_index: Dict[str, int],
-    symtab: ProgramSymbolTable,
-) -> None:
-    code = _OPCODE_INDEX[instr.op]
-    writer.u(code)
-    op = instr.op
-    if op is Opcode.CONST:
-        writer.u(instr.dst)
-        writer.s(instr.imm)
-    elif op in (Opcode.MOV, Opcode.NEG, Opcode.NOT):
-        writer.u(instr.dst)
-        writer.u(instr.a)
-    elif code in _BINARY_SET:
-        writer.u(instr.dst)
-        writer.u(instr.a)
-        writer.u(instr.b)
-    elif op is Opcode.LOADG:
-        writer.u(instr.dst)
-        writer.u(symtab.pid_of(instr.sym))
-    elif op is Opcode.STOREG:
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(instr.a)
-    elif op is Opcode.LOADE:
-        writer.u(instr.dst)
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(instr.a)
-    elif op is Opcode.STOREE:
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(instr.a)
-        writer.u(instr.b)
-    elif op is Opcode.CALL:
-        writer.opt_reg(instr.dst)
-        writer.u(symtab.pid_of(instr.sym))
-        writer.u(len(instr.args))
-        for arg in instr.args:
-            writer.u(arg)
-    elif op is Opcode.RET:
-        writer.opt_reg(instr.a)
-    elif op is Opcode.BR:
-        writer.u(instr.a)
-        writer.u(label_index[instr.targets[0]])
-        writer.u(label_index[instr.targets[1]])
-    elif op is Opcode.JMP:
-        writer.u(label_index[instr.targets[0]])
-    elif op is Opcode.PROBE:
-        writer.u(instr.imm)
-    else:  # pragma: no cover
-        raise CompactionError("unencodable opcode %s" % op)
-
-
-def _decode_instr(
-    reader: Reader, labels: List[str], symtab: ProgramSymbolTable
-) -> Instr:
-    at = reader.pos
-    code = reader.u()
-    try:
-        op = _OPCODE_LIST[code]
-    except IndexError:
-        raise CompactionError("bad opcode %d at offset %d" % (code, at),
-                              offset=at, field="opcode")
-    if op is Opcode.CONST:
-        return Instr(op, dst=reader.u(), imm=reader.s())
-    if op in (Opcode.MOV, Opcode.NEG, Opcode.NOT):
-        return Instr(op, dst=reader.u(), a=reader.u())
-    if code in _BINARY_SET:
-        return Instr(op, dst=reader.u(), a=reader.u(), b=reader.u())
-    if op is Opcode.LOADG:
-        return Instr(op, dst=reader.u(), sym=symtab.name_of(reader.u()))
-    if op is Opcode.STOREG:
-        return Instr(op, sym=symtab.name_of(reader.u()), a=reader.u())
-    if op is Opcode.LOADE:
-        return Instr(op, dst=reader.u(), sym=symtab.name_of(reader.u()),
-                     a=reader.u())
-    if op is Opcode.STOREE:
-        return Instr(op, sym=symtab.name_of(reader.u()), a=reader.u(),
-                     b=reader.u())
-    if op is Opcode.CALL:
-        dst = reader.opt_reg()
-        sym = symtab.name_of(reader.u())
-        nargs = reader.u()
-        args = tuple(reader.u() for _ in range(nargs))
-        return Instr(op, dst=dst, sym=sym, args=args)
-    if op is Opcode.RET:
-        return Instr(op, a=reader.opt_reg())
-    if op is Opcode.BR:
-        a = reader.u()
-        t0 = _label_at(reader, labels)
-        t1 = _label_at(reader, labels)
-        return Instr(op, a=a, targets=(t0, t1))
-    if op is Opcode.JMP:
-        return Instr(op, targets=(_label_at(reader, labels),))
-    if op is Opcode.PROBE:
-        return Instr(op, imm=reader.u())
-    raise CompactionError("undecodable opcode %s" % op)  # pragma: no cover
-
-
-def _label_at(reader: Reader, labels: List[str]) -> str:
-    at = reader.pos
-    index = reader.u()
-    try:
-        return labels[index]
-    except IndexError:
-        raise CompactionError(
-            "bad label index %d at offset %d" % (index, at),
-            offset=at, field="label index",
-        )
-
-
-# -- Routine compaction (reference codec) -------------------------------------
-
-
-def compact_routine_reference(
-    routine: Routine, symtab: ProgramSymbolTable
-) -> bytes:
-    """Reference encoder: one :class:`Writer` call per field.
-
-    This is the format specification; :func:`compact_routine` must
-    produce identical bytes (the dual-codec differential test holds
-    them together).
-    """
-    writer = Writer()
-    writer.u(symtab.pid_of(routine.name))
-    writer.string_ref(routine.module_name)
-    writer.u(1 if routine.exported else 0)
-    writer.u(routine.n_params)
-    writer.u(routine.next_reg)
-    writer.u(routine.source_lines)
-    writer.string_ref(routine.source_language)
-
-    labels = routine.block_labels()
-    label_index = {label: i for i, label in enumerate(labels)}
-    writer.u(len(labels))
-    for label in labels:
-        writer.string_ref(label)
-    for block in routine.blocks:
-        writer.u(len(block.instrs))
-        for instr in block.instrs:
-            _encode_instr(writer, instr, label_index, symtab)
-
-    annotations = sorted(
-        (key, value)
-        for key, value in routine.annotations.items()
-        if isinstance(value, (int, str))
-    )
-    writer.u(len(annotations))
-    for key, value in annotations:
-        writer.string_ref(key)
-        if isinstance(value, int):
-            writer.u(0)
-            writer.s(value)
-        else:
-            writer.u(1)
-            writer.string_ref(value)
-    return writer.finish()
-
-
-def uncompact_routine_reference(
-    data, symtab: ProgramSymbolTable
-) -> Routine:
-    """Reference decoder (one :class:`Reader` call per field)."""
-    reader = Reader(data)
-    name = symtab.name_of(reader.u())
-    module_name = reader.string_ref()
-    exported = bool(reader.u())
-    n_params = reader.u()
-    next_reg = reader.u()
-    source_lines = reader.u()
-    source_language = reader.string_ref()
-
-    routine = Routine(
-        name,
-        module_name=module_name,
-        n_params=n_params,
-        exported=exported,
-        source_lines=source_lines,
-        source_language=source_language,
-    )
-    n_blocks = reader.u()
-    labels = [reader.string_ref() for _ in range(n_blocks)]
-    for label in labels:
-        block = BasicBlock(label)
-        n_instrs = reader.u()
-        for _ in range(n_instrs):
-            block.instrs.append(_decode_instr(reader, labels, symtab))
-        routine.blocks.append(block)
-    routine.next_reg = next_reg
-
-    n_annotations = reader.u()
-    for _ in range(n_annotations):
-        key = reader.string_ref()
-        kind = reader.u()
-        if kind == 0:
-            routine.annotations[key] = reader.s()
-        else:
-            routine.annotations[key] = reader.string_ref()
-    routine.invalidate()
-    return routine
-
-
-# -- Routine compaction (batched codec, the default) --------------------------
+# -- Routine compaction ------------------------------------------------------
 
 
 def compact_routine(routine: Routine, symtab: ProgramSymbolTable) -> bytes:
@@ -602,7 +395,8 @@ def compact_routine(routine: Routine, symtab: ProgramSymbolTable) -> bytes:
 
     Symbol references are swizzled to PIDs; block labels become indices;
     derived data is *not* represented (recompute-on-demand discipline).
-    Byte-identical to :func:`compact_routine_reference`, but batched:
+    Byte-identical to the per-field reference encoder (the test
+    oracle ``tests/oracles/reference_codec.py``), but batched:
     the whole routine's varint values are collected into one flat run
     and flushed through :func:`_pack_varints`.
     """
@@ -1068,7 +862,6 @@ class _LazyInstrs(list):
         state = self._lazy
         if state is None:
             return
-        self._lazy = None
         buf, start, count, labels, symtab = state
         out: List[Instr] = []
         try:
@@ -1079,6 +872,9 @@ class _LazyInstrs(list):
                 "(buffer end at offset %d)" % len(buf),
                 offset=len(buf), field="instruction stream",
             ) from None
+        # Only a decode that succeeded retires the lazy state: a
+        # corrupt run must fail on every touch, not read as empty.
+        self._lazy = None
         list.extend(self, out)
 
     def materialized(self) -> bool:
@@ -1238,16 +1034,19 @@ class _LazyAnnotations(dict):
         state = self._lazy
         if state is None:
             return
-        self._lazy = None
         buf, start, count, strings = state
+        decoded: Dict[str, object] = {}
         try:
-            _decode_annotations(buf, start, count, strings, self)
+            _decode_annotations(buf, start, count, strings, decoded)
         except IndexError:
             raise CompactionError(
                 "truncated relocatable data in annotations "
                 "(buffer end at offset %d)" % len(buf),
                 offset=len(buf), field="annotations",
             ) from None
+        # As in _LazyInstrs: retire the lazy state only on success.
+        self._lazy = None
+        dict.update(self, decoded)
 
     def materialized(self) -> bool:
         return self._lazy is None
@@ -1474,34 +1273,6 @@ def _decode_utf8(raw: bytes) -> str:
 # -- Module symbol-table compaction -------------------------------------------------
 
 
-def compact_symtab_reference(
-    symtab: ModuleSymbolTable, program: ProgramSymbolTable
-) -> bytes:
-    """Reference encoder for module symbol tables (format spec)."""
-    writer = Writer()
-    writer.string_ref(symtab.module_name)
-    writer.u(len(symtab.globals))
-    for var in symtab.globals.values():
-        writer.u(program.pid_of(var.name))
-        writer.u(var.size)
-        writer.u(1 if var.exported else 0)
-        # Run-length encode trailing zeros: most arrays are zero-filled.
-        init = list(var.init)
-        significant = len(init)
-        while significant and init[significant - 1] == 0:
-            significant -= 1
-        writer.u(significant)
-        for value in init[:significant]:
-            writer.s(value)
-    writer.u(len(symtab.routine_names))
-    for name in symtab.routine_names:
-        writer.u(program.pid_of(name))
-    writer.u(len(symtab.extern_refs))
-    for name in symtab.extern_refs:
-        writer.u(program.pid_of(name))
-    return writer.finish()
-
-
 def compact_symtab(symtab: ModuleSymbolTable,
                    program: ProgramSymbolTable) -> bytes:
     """Encode a module symbol table into relocatable form (batched)."""
@@ -1538,32 +1309,6 @@ def compact_symtab(symtab: ModuleSymbolTable,
     for name in symtab.extern_refs:
         append(pid_of(name))
     return _finish_batched(strings, vals)
-
-
-def uncompact_symtab_reference(
-    data, program: ProgramSymbolTable
-) -> ModuleSymbolTable:
-    """Reference decoder for module symbol tables."""
-    reader = Reader(data)
-    symtab = ModuleSymbolTable(reader.string_ref())
-    n_globals = reader.u()
-    for _ in range(n_globals):
-        name = program.name_of(reader.u())
-        size = reader.u()
-        exported = bool(reader.u())
-        significant = reader.u()
-        init = [reader.s() for _ in range(significant)]
-        init.extend([0] * (size - significant))
-        var = GlobalVar(name, size=size, init=init, exported=exported)
-        symtab.define_global(var)
-        var.defining_module = symtab.module_name
-    n_routines = reader.u()
-    for _ in range(n_routines):
-        symtab.routine_names.append(program.name_of(reader.u()))
-    n_externs = reader.u()
-    for _ in range(n_externs):
-        symtab.extern_refs.append(program.name_of(reader.u()))
-    return symtab
 
 
 def uncompact_symtab(

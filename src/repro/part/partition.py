@@ -51,8 +51,8 @@ class Partition:
         #: Summary-only WPA: non-local routine bodies this partition's
         #: plan replay reads (splice callees and clone origins, closed
         #: transitively).  Workers import exactly these -- read-only --
-        #: and nothing else; empty under materializing WPA and for
-        #: partitions whose replay is self-contained.
+        #: and nothing else; empty under the materializing-WPA test
+        #: oracle and for partitions whose replay is self-contained.
         self.imports: List[str] = imports or []
 
     def __repr__(self) -> str:

@@ -199,8 +199,9 @@ def _plan_payload(hlo_result) -> Optional[Dict]:
     """The pending thin-WPA replay plan, or None.
 
     A plan ships only while it is still pending: once the link side
-    has replayed it (or under materializing WPA, where none exists),
-    workers receive final bodies and must not re-apply mutations."""
+    has replayed it (or under the materializing-WPA test oracle, where
+    none exists), workers receive final bodies and must not re-apply
+    mutations."""
     plan = getattr(hlo_result, "plan", None)
     if plan is None or getattr(hlo_result, "_plan_replayed", False):
         return None
@@ -349,9 +350,10 @@ class SharedJobContext:
         self.const_returns = dict(payload.get("const_returns", {}))
         self.scalar_set = frozenset(payload.get("scalar", ()))
         plan_payload = payload.get("plan")
-        #: Pending thin-WPA replay plan (None under materializing WPA
-        #: or when the link side already replayed).  Read-only across
-        #: jobs: replay_plan never mutates the plan itself.
+        #: Pending thin-WPA replay plan (None under the
+        #: materializing-WPA test oracle or when the link side already
+        #: replayed).  Read-only across jobs: replay_plan never mutates
+        #: the plan itself.
         self.plan = (
             WpaPlan.from_dict(plan_payload)
             if plan_payload is not None else None

@@ -157,11 +157,6 @@ class WarmState:
             raise RequestError(
                 ERR_BAD_REQUEST, "'hlo_backend' must be a string"
             )
-        wpa_mode = options.get("wpa_mode", "auto")
-        if not isinstance(wpa_mode, str):
-            raise RequestError(
-                ERR_BAD_REQUEST, "'wpa_mode' must be a string"
-            )
         for name, value in (("jobs", jobs), ("hlo_jobs", hlo_jobs)):
             if not isinstance(value, int) or value < 1:
                 raise RequestError(
@@ -216,7 +211,6 @@ class WarmState:
                 hlo_jobs=hlo_jobs,
                 hlo_partitions=partitions,
                 hlo_backend=hlo_backend,
-                wpa_mode=wpa_mode,
                 naim=NaimConfig(
                     repo_compress_level=repo_compress,
                     repo_segment_bytes=repo_segment_mb * 1024 * 1024,
@@ -246,7 +240,6 @@ class WarmState:
             compiler_options.hlo_jobs,
             compiler_options.hlo_partitions,
             compiler_options.hlo_backend,
-            compiler_options.wpa_mode,
             compiler_options.naim.repo_compress_level,
             compiler_options.naim.repo_segment_bytes,
             compiler_options.naim.repo_prefetch_depth,

@@ -53,6 +53,23 @@ class TestBuild:
         assert "--profile-feed app ignored" in captured.err
         assert "build +O4" in captured.out
 
+    def test_daemon_with_trace_out_builds_in_process(
+            self, source_files, capsys, monkeypatch, tmp_path):
+        # The daemon's trace stays server-side, so --trace-out keeps the
+        # build in-process -- and says so instead of dropping --daemon
+        # silently.
+        monkeypatch.setenv("REPRO_SERVE_ROOT", str(tmp_path / "no-daemon"))
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["build"] + source_files
+            + ["-O", "4", "--daemon", "--trace-out", str(trace)]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "--daemon ignored: --trace-out builds in-process" \
+            in captured.err
+        assert "trace:" in captured.out
+        assert json.loads(trace.read_text())
+
     def test_o4_build(self, source_files, capsys):
         assert main(["build"] + source_files + ["-O", "4", "--run"]) == 0
         out = capsys.readouterr().out

@@ -1,12 +1,14 @@
-"""Tests for the standalone clone application path (non-NAIM API)."""
+"""Tests for clone creation and the standalone clone application path
+(the materializing-WPA oracle's, over a plain Program)."""
 
 from repro.frontend import compile_sources
 from repro.hlo.analysis.modref import ModRefAnalysis
 from repro.hlo.options import HloOptions
 from repro.hlo.passes import OptContext
-from repro.hlo.transforms.clone import apply_clones, make_clone, plan_clones
+from repro.hlo.transforms.clone import make_clone
 from repro.interp import run_program
 from repro.ir import Opcode, assert_valid_program
+from tests.oracles.materialize_wpa import apply_clones, plan_clones
 
 SOURCES = {
     "m": """

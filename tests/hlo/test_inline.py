@@ -4,9 +4,10 @@ from repro.frontend import compile_sources
 from repro.hlo.driver import HighLevelOptimizer
 from repro.hlo.options import HloOptions
 from repro.hlo.passes import OptContext
-from repro.hlo.transforms.inline import InlineEngine, splice_call
+from repro.hlo.transforms.inline import splice_call
 from repro.interp import run_program
 from repro.ir import Opcode, assert_valid_routine
+from tests.oracles.materialize_wpa import MaterializingInlineEngine
 
 
 def program_with(sources):
@@ -120,8 +121,8 @@ func main() {
         for node in graph.nodes.values():
             for site in node.call_sites:
                 site.weight = 10
-        engine = InlineEngine(ctx, graph, program.find_routine,
-                              has_profiles=True)
+        engine = MaterializingInlineEngine(ctx, graph, program.find_routine,
+                                           has_profiles=True)
         stats = engine.run(callers)
         return program, stats
 
@@ -185,8 +186,8 @@ func main() {
         for node in graph.nodes.values():
             for site in node.call_sites:
                 site.weight = 5
-        engine = InlineEngine(ctx, graph, program.find_routine,
-                              has_profiles=True)
+        engine = MaterializingInlineEngine(ctx, graph, program.find_routine,
+                                           has_profiles=True)
         stats = engine.run(["main"])
         assert stats.performed == 4
         trace = stats.callee_module_trace

@@ -1,18 +1,23 @@
-"""Unit tests for IPCP, cloning and dead-function elimination."""
+"""Unit tests for IPCP, cloning and dead-function elimination.
+
+IPCP and clone planning over bodies live in the materializing-WPA
+test oracle; production runs the same decisions over summaries
+(``tests/hlo/test_thin_wpa.py`` and the byte-identity properties).
+"""
 
 from repro.frontend import compile_sources
 from repro.hlo.analysis.modref import ModRefAnalysis
 from repro.hlo.options import HloOptions
 from repro.hlo.passes import OptContext
-from repro.hlo.transforms.clone import plan_clones
 from repro.hlo.transforms.dfe import eliminate_dead_functions, reachable_routines
-from repro.hlo.transforms.ipcp import (
-    constant_return_value,
-    gather_param_constants,
-    publish_interprocedural_facts,
-)
 from repro.interp import run_program
 from repro.ir import Opcode
+from tests.oracles.materialize_wpa import (
+    constant_return_value,
+    gather_param_constants,
+    plan_clones,
+    publish_interprocedural_facts,
+)
 
 
 def ctx_for(program, options=None):

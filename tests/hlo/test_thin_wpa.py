@@ -1,11 +1,12 @@
 """Summary-only WPA (the thin link): plans, import lists, fallback.
 
 The byte-identity of summary-mode images across every jobs/backend/
-incremental setting is pinned by the property suite
-(``tests/property/test_prop_parallel_hlo.py``); these tests cover the
-thin link's own mechanics -- the replay plan's import closure, the
-per-partition import lists, the stale-summary fallback, and the
-flat-memory claim the whole refactor exists for.
+incremental setting, against the materializing-WPA test oracle
+(``tests/oracles/materialize_wpa.py``), is pinned by the property
+suite (``tests/property/test_prop_parallel_hlo.py``); these tests
+cover the thin link's own mechanics -- the replay plan's import
+closure, the per-partition import lists, the stale-summary fallback,
+and the flat-memory claim the whole refactor exists for.
 """
 
 from repro.driver.build import BuildEngine
@@ -19,6 +20,7 @@ from repro.linker.objects import encode_executable
 from repro.naim.config import NaimConfig, NaimLevel
 from repro.part.partition import partition_unit
 from repro.synth import WorkloadConfig, generate
+from tests.oracles.materialize_wpa import materializing_wpa
 
 SOURCES = {
     "lib": """
@@ -94,12 +96,11 @@ class TestPartitionImports:
     def _thin_result(self, sources):
         program = compile_sources(sources)
         return HighLevelOptimizer(
-            program, options=HloOptions(), wpa_mode="summary"
+            program, options=HloOptions()
         ).optimize(run_scalar=False)
 
     def test_partitions_scope_closed_under_plan(self):
         result = self._thin_result(synth_sources())
-        assert result.wpa_mode == "summary"
         assert result.plan is not None and not result._plan_replayed
         partitions = partition_unit(result, 4)
         assert partitions, "synthetic app should partition"
@@ -127,9 +128,10 @@ class TestPartitionImports:
 
     def test_materialize_mode_has_no_imports(self):
         program = compile_sources(synth_sources())
-        result = HighLevelOptimizer(
-            program, options=HloOptions(), wpa_mode="materialize"
-        ).optimize(run_scalar=False)
+        with materializing_wpa():
+            result = HighLevelOptimizer(
+                program, options=HloOptions()
+            ).optimize(run_scalar=False)
         assert result.plan is None
         for partition in partition_unit(result, 4):
             assert partition.imports == []
@@ -139,7 +141,7 @@ class TestSummaryFallback:
     def test_corrupt_facts_blob_falls_back_with_event(self, tmp_path):
         sources = dict(SOURCES)
         engine = BuildEngine(
-            CompilerOptions(opt_level=4, wpa_mode="summary"),
+            CompilerOptions(opt_level=4),
             incremental=True,
         )
         first, _report = engine.build(sources)
@@ -165,7 +167,7 @@ class TestSummaryFallback:
     def test_missing_facts_blob_falls_back_with_event(self):
         sources = dict(SOURCES)
         engine = BuildEngine(
-            CompilerOptions(opt_level=4, wpa_mode="summary"),
+            CompilerOptions(opt_level=4),
             incremental=True,
         )
         first, _report = engine.build(sources)
@@ -183,7 +185,7 @@ class TestFlatMemory:
     def test_wpa_peak_tracks_summaries_not_bodies(self):
         def peak_and_routines(n_modules):
             build = Compiler(CompilerOptions(
-                opt_level=4, wpa_mode="summary",
+                opt_level=4,
                 naim=NaimConfig.pinned(NaimLevel.OFFLOAD, cache_pools=4),
             )).build(synth_sources(seed=29, n_modules=n_modules))
             hlo = build.hlo_result
@@ -205,10 +207,13 @@ class TestFlatMemory:
     def test_summary_mode_wpa_peak_below_materialize(self):
         sources = synth_sources(seed=29, n_modules=8)
 
-        def wpa_peak(mode):
+        def wpa_peak():
             return Compiler(CompilerOptions(
-                opt_level=4, wpa_mode=mode,
+                opt_level=4,
                 naim=NaimConfig.pinned(NaimLevel.OFFLOAD, cache_pools=4),
             )).build(sources).hlo_result.wpa_peak_bytes
 
-        assert wpa_peak("summary") < wpa_peak("materialize")
+        summary_peak = wpa_peak()
+        with materializing_wpa():
+            materialize_peak = wpa_peak()
+        assert summary_peak < materialize_peak

@@ -174,7 +174,7 @@ class TestStructuredErrors:
         from repro.ir.instructions import Instr, Opcode
         from repro.ir.routine import Routine
         from repro.ir.symbols import ProgramSymbolTable
-        from repro.naim.compaction import uncompact_routine_reference
+        from tests.oracles.reference_codec import uncompact_routine_reference
 
         symtab = ProgramSymbolTable()
         routine = Routine("jumper")
@@ -261,3 +261,67 @@ class TestLazyMaterialization:
         assert len(block.instrs) == count + 1
         lazy.annotations["new"] = 1
         assert lazy.annotations["new"] == 1
+
+    @staticmethod
+    def _corrupt_label_routine():
+        """Lazily decoded ``f`` whose one block (6 instrs) ends in a JMP
+        with an out-of-range label index."""
+        from repro.ir.basic_block import BasicBlock
+        from repro.ir.instructions import Instr, Opcode
+        from repro.ir.routine import Routine
+        from repro.ir.symbols import ProgramSymbolTable
+
+        symtab = ProgramSymbolTable()
+        routine = Routine("f")
+        block = BasicBlock("entry")
+        for reg in range(5):
+            block.instrs.append(Instr(Opcode.CONST, dst=reg, imm=reg))
+        block.instrs.append(Instr(Opcode.JMP, targets=("entry",)))
+        routine.blocks.append(block)
+        data = bytearray(compact_routine(routine, symtab))
+        # The final varints are the JMP's label index (0) followed by
+        # the annotation count.
+        assert data[-2] == 0
+        data[-2] = 0x7F
+        return uncompact_routine(bytes(data), symtab, lazy=True), symtab
+
+    def test_corrupt_block_raises_on_every_touch(self):
+        from repro.ir.instructions import Instr, Opcode
+
+        lazy, _ = self._corrupt_label_routine()
+        instrs = lazy.blocks[0].instrs
+        assert len(instrs) == 6
+        touches = [
+            lambda: list(instrs),
+            lambda: instrs[0],
+            lambda: instrs.append(Instr(Opcode.RET, a=None)),
+            lambda: list(instrs),
+        ]
+        for touch in touches:
+            with pytest.raises(CompactionError) as excinfo:
+                touch()
+            assert "label index" in str(excinfo.value)
+            assert not instrs.materialized()
+            assert len(instrs) == 6
+
+    def test_corrupt_annotations_raise_on_every_touch(self):
+        prog = program()
+        routine = prog.routine("widget")
+        routine.annotations["origin"] = "test"
+        data = bytearray(compact_routine(routine, prog.symtab))
+        # The final varint is the one annotation's string-table index.
+        data[-1] = 0x7F
+        lazy = uncompact_routine(bytes(data), prog.symtab, lazy=True)
+        annotations = lazy.annotations
+        assert len(annotations) == 1
+        touches = [
+            lambda: annotations["origin"],
+            lambda: dict(annotations),
+            lambda: annotations.get("origin"),
+        ]
+        for touch in touches:
+            with pytest.raises(CompactionError) as excinfo:
+                touch()
+            assert "annotation value" in str(excinfo.value)
+            assert not annotations.materialized()
+            assert len(annotations) == 1

@@ -1,8 +1,9 @@
 """Property tests for the dual IL codecs and zero-copy pack decode.
 
 The batched codec in :mod:`repro.naim.compaction` exists purely for
-speed; the reference :class:`Writer`/:class:`Reader` codec is the
-format specification.  The invariants:
+speed; the per-field reference codec (the test oracle
+``tests/oracles/reference_codec.py``) is the format specification.
+The invariants:
 
 * for ANY routine -- every opcode, annotations of both kinds, empty
   blocks, no blocks at all -- the batched encoder emits bytes
@@ -29,17 +30,19 @@ from repro.naim.compaction import (
     _OPCODE_INDEX,
     _OPCODE_LIST,
     compact_routine,
-    compact_routine_reference,
     compact_symtab,
-    compact_symtab_reference,
     routines_equal,
     uncompact_routine,
-    uncompact_routine_reference,
     uncompact_symtab,
-    uncompact_symtab_reference,
 )
 from repro.naim.intern import InternPool
 from repro.naim.repository import Repository
+from tests.oracles.reference_codec import (
+    compact_routine_reference,
+    compact_symtab_reference,
+    uncompact_routine_reference,
+    uncompact_symtab_reference,
+)
 
 REGS = st.integers(min_value=0, max_value=500)
 OPT_REGS = st.one_of(st.none(), REGS)

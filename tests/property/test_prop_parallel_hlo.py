@@ -3,7 +3,8 @@
 The invariant: for ANY synthetic program, a +O4 build with
 ``hlo_jobs`` in {1, 2, 4} produces an image byte-identical to the
 serial build -- on BOTH executor backends (threads and worker
-processes), with and without summary-based incremental CMO.
+processes), with and without summary-based incremental CMO -- and
+matches the materializing-WPA test oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.driver.compiler import Compiler
 from repro.driver.options import CompilerOptions
 from repro.linker.objects import encode_executable
 from repro.synth import WorkloadConfig, generate
+from tests.oracles.materialize_wpa import materializing_wpa
 
 JOBS = (1, 2, 4)
 BACKENDS = ("threads", "processes")
@@ -95,16 +97,15 @@ def test_summary_wpa_matches_materialize(seed, n_modules):
     ANY synthetic program, summary-mode WPA is byte-identical to
     materializing WPA at every jobs/backend setting."""
     sources = small_app(seed, n_modules).sources
-    reference = encode_executable(
-        Compiler(
-            CompilerOptions(opt_level=4, wpa_mode="materialize")
-        ).build(sources).executable
-    )
+    with materializing_wpa():
+        reference = encode_executable(
+            Compiler(CompilerOptions(opt_level=4)).build(sources).executable
+        )
     for backend in BACKENDS:
         for jobs in JOBS:
             build = Compiler(
                 CompilerOptions(opt_level=4, hlo_jobs=jobs,
-                                hlo_backend=backend, wpa_mode="summary")
+                                hlo_backend=backend)
             ).build(sources)
             assert encode_executable(build.executable) == reference, (
                 "summary WPA diverged at hlo_jobs=%d (%s)"
@@ -120,14 +121,13 @@ def test_summary_wpa_composes_with_incremental(seed):
     changed-module) stay byte-identical to materializing builds of the
     same sources, and the facts cache never perturbs reuse."""
     app = small_app(seed)
-    reference = encode_executable(
-        Compiler(
-            CompilerOptions(opt_level=4, wpa_mode="materialize")
-        ).build(app.sources).executable
-    )
+    with materializing_wpa():
+        reference = encode_executable(
+            Compiler(CompilerOptions(opt_level=4))
+            .build(app.sources).executable
+        )
     engine = BuildEngine(
-        CompilerOptions(opt_level=4, hlo_jobs=2, hlo_backend="threads",
-                        wpa_mode="summary"),
+        CompilerOptions(opt_level=4, hlo_jobs=2, hlo_backend="threads"),
         incremental=True,
     )
     cold, _report = engine.build(app.sources)
@@ -147,10 +147,9 @@ def test_summary_wpa_composes_with_incremental(seed):
         + "\nfunc extra_%d(x) { return x + %d; }\n"
         % (seed % 97, seed % 11)
     )
-    changed_reference = encode_executable(
-        Compiler(
-            CompilerOptions(opt_level=4, wpa_mode="materialize")
-        ).build(changed).executable
-    )
+    with materializing_wpa():
+        changed_reference = encode_executable(
+            Compiler(CompilerOptions(opt_level=4)).build(changed).executable
+        )
     rebuilt, _report = engine.build(changed)
     assert encode_executable(rebuilt.executable) == changed_reference
